@@ -511,8 +511,8 @@ void EmitRegressionPoint() {
 }
 
 /// The categorical-heavy twin of the regression point: Hollywood 32k rows,
-/// same sample size / k / thread budget. Not a CI gate (no committed
-/// baseline yet) but the artifact makes string-path wins visible.
+/// same sample size / k / thread budget. CI gates its p50 against
+/// bench/baselines/map_pipeline_hollywood.json, like the LOFAR point.
 void EmitCategoricalPoint() {
   const auto& data = HollywoodCached(32000);
   EmitRegressionPointFor("hollywood", *data.table, AllColumns(*data.table),

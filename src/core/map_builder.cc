@@ -15,7 +15,6 @@
 #include "monet/sampling.h"
 #include "stats/distance.h"
 #include "stats/metrics.h"
-#include "tree/rules.h"
 
 namespace blaeu::core {
 
@@ -460,64 +459,15 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
     span.SetAttr("regions", map.regions.size());
   }
 
-  // 6. Tuple counts over the FULL selection, computed incrementally: a
-  // region's predicate is its parent's predicate AND its edge, so each
-  // region only applies its edge conjunction to the parent's row set —
-  // O(rows) per tree level instead of O(depth * rows) per region — and the
-  // regions of one level are counted in parallel (they read only their
-  // parents' row sets and write disjoint slots).
+  // 6. Tuple counts over the FULL selection.
   {
     obs::Span span(tracer, "core.map.count");
     span.SetAttr("threads", threads);
     Timer stage;
-    size_t counted_bytes = 0;
-    const size_t num_regions = map.regions.size();
-    std::vector<int> region_depth(num_regions, 0);
-    std::vector<std::vector<int>> levels;
-    for (const MapRegion& region : map.regions) {  // pre-order: parents first
-      int d = region.parent < 0 ? 0 : region_depth[region.parent] + 1;
-      region_depth[region.id] = d;
-      if (levels.size() <= static_cast<size_t>(d)) levels.resize(d + 1);
-      levels[static_cast<size_t>(d)].push_back(region.id);
-    }
-    std::vector<SelectionVector> region_rows(num_regions);
-    std::vector<Status> region_status(num_regions);
-    for (int id : levels[0]) {  // the root summarizes the whole selection
-      region_rows[id] = sel;
-      map.regions[id].tuple_count = sel.size();
-      counted_bytes += sel.size() * sizeof(uint32_t);
-    }
-    scratch.Charge(counted_bytes);
-    for (size_t d = 1; d < levels.size(); ++d) {
-      const std::vector<int>& level = levels[d];
-      ParallelFor(
-          0, level.size(), 1,
-          [&](size_t lo, size_t hi) {
-            for (size_t i = lo; i < hi; ++i) {
-              MapRegion& region = map.regions[level[i]];
-              auto rows =
-                  region.edge.EvaluateOn(*view, region_rows[region.parent]);
-              if (!rows.ok()) {
-                region_status[region.id] = rows.status();
-                continue;
-              }
-              region_rows[region.id] = std::move(rows).ValueOrDie();
-              region.tuple_count = region_rows[region.id].size();
-            }
-          },
-          options.num_threads);
-      size_t level_bytes = 0;
-      for (int id : level) {
-        BLAEU_RETURN_NOT_OK(region_status[id]);
-        // Each region evaluated its edge over its parent's row set.
-        res.rows_counted += static_cast<int64_t>(
-            region_rows[map.regions[id].parent].size());
-        level_bytes += region_rows[id].size() * sizeof(uint32_t);
-      }
-      scratch.Charge(level_bytes);
-      counted_bytes += level_bytes;
-    }
-    scratch.Release(counted_bytes);  // region_rows dies with this block
+    BLAEU_ASSIGN_OR_RETURN(
+        int64_t rows_counted,
+        CountRegions(*view, sel, options.num_threads, &map, &scratch));
+    res.rows_counted += rows_counted;
     res.stages.push_back({"count", stage.ElapsedSeconds()});
     span.SetAttr("rows_counted", sel.size());
   }
@@ -536,6 +486,67 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
 }
 
 }  // namespace
+
+// A region's predicate is its parent's predicate AND its edge, so each
+// region only applies its edge conjunction to the parent's row set —
+// O(rows) per tree level instead of O(depth * rows) per region — and the
+// regions of one level are counted in parallel (they read only their
+// parents' row sets and write disjoint slots).
+Result<int64_t> CountRegions(const Table& view, const SelectionVector& sel,
+                             size_t num_threads, DataMap* map,
+                             obs::ScratchCounter* scratch) {
+  const size_t num_regions = map->regions.size();
+  if (num_regions == 0) return 0;
+  int64_t rows_counted = 0;
+  size_t counted_bytes = 0;
+  std::vector<int> region_depth(num_regions, 0);
+  std::vector<std::vector<int>> levels;
+  for (const MapRegion& region : map->regions) {  // pre-order: parents first
+    int d = region.parent < 0 ? 0 : region_depth[region.parent] + 1;
+    region_depth[region.id] = d;
+    if (levels.size() <= static_cast<size_t>(d)) levels.resize(d + 1);
+    levels[static_cast<size_t>(d)].push_back(region.id);
+  }
+  std::vector<SelectionVector> region_rows(num_regions);
+  std::vector<Status> region_status(num_regions);
+  for (int id : levels[0]) {  // the root summarizes the whole selection
+    region_rows[id] = sel;
+    map->regions[id].tuple_count = sel.size();
+    counted_bytes += sel.size() * sizeof(uint32_t);
+  }
+  scratch->Charge(counted_bytes);
+  for (size_t d = 1; d < levels.size(); ++d) {
+    const std::vector<int>& level = levels[d];
+    ParallelFor(
+        0, level.size(), 1,
+        [&](size_t lo, size_t hi) {
+          for (size_t i = lo; i < hi; ++i) {
+            MapRegion& region = map->regions[level[i]];
+            auto rows =
+                region.edge.EvaluateOn(view, region_rows[region.parent]);
+            if (!rows.ok()) {
+              region_status[region.id] = rows.status();
+              continue;
+            }
+            region_rows[region.id] = std::move(rows).ValueOrDie();
+            region.tuple_count = region_rows[region.id].size();
+          }
+        },
+        num_threads);
+    size_t level_bytes = 0;
+    for (int id : level) {
+      BLAEU_RETURN_NOT_OK(region_status[id]);
+      // Each region evaluated its edge over its parent's row set.
+      rows_counted += static_cast<int64_t>(
+          region_rows[map->regions[id].parent].size());
+      level_bytes += region_rows[id].size() * sizeof(uint32_t);
+    }
+    scratch->Charge(level_bytes);
+    counted_bytes += level_bytes;
+  }
+  scratch->Release(counted_bytes);  // region_rows dies with this call
+  return rows_counted;
+}
 
 Result<DataMap> BuildMap(const Table& table, const SelectionVector& sel,
                          const std::vector<std::string>& columns,

@@ -89,4 +89,14 @@ Result<DataMap> BuildMap(const monet::Table& table,
 Result<DataMap> BuildMap(const monet::Table& table,
                          const MapOptions& options = {});
 
+/// Sets every region's tuple_count to the number of rows of `sel` its
+/// predicate selects, counting tree level by tree level, and returns the
+/// rows evaluated. `view` must hold the map's active columns; `scratch` is
+/// charged for the per-region row sets while they live. BuildMap counts
+/// with it, and so does a caller that built the map on a subset of `sel`.
+Result<int64_t> CountRegions(const monet::Table& view,
+                             const monet::SelectionVector& sel,
+                             size_t num_threads, DataMap* map,
+                             obs::ScratchCounter* scratch);
+
 }  // namespace blaeu::core

@@ -3,10 +3,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "common/json_writer.h"
 #include "core/map_builder.h"
-#include "core/preprocess.h"
 
 namespace blaeu::core {
 
@@ -115,13 +115,22 @@ MapCache::MapCache(size_t budget_bytes, obs::MetricsRegistry* metrics,
   counters_.budget_bytes = budget_bytes_;
 }
 
+// Only a plain decimal byte count overrides the budget. Anything else — a
+// sign, a unit suffix, trailing junk, a value past SIZE_MAX — keeps the
+// configured budget rather than silently becoming a tiny or unbounded one.
 size_t MapCache::BudgetFromEnv(size_t configured) {
   const char* env = std::getenv("BLAEU_CACHE_BYTES");
   if (env == nullptr || *env == '\0') return configured;
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(env, &end, 10);
-  if (end == env) return configured;
-  return static_cast<size_t>(parsed);
+  size_t bytes = 0;
+  for (const char* p = env; *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') return configured;
+    const size_t digit = static_cast<size_t>(*p - '0');
+    if (bytes > (std::numeric_limits<size_t>::max() - digit) / 10) {
+      return configured;
+    }
+    bytes = bytes * 10 + digit;
+  }
+  return bytes;
 }
 
 uint64_t MapCache::NextSessionId() {
@@ -158,16 +167,13 @@ std::shared_ptr<const DataMap> MapCache::Lookup(const MapCacheKey& key,
 }
 
 void MapCache::Insert(const MapCacheKey& key, uint64_t session_id,
-                      std::shared_ptr<const DataMap> map,
-                      std::shared_ptr<const PreprocessPlan> plan) {
+                      std::shared_ptr<const DataMap> map) {
   if (map == nullptr || budget_bytes_ == 0) return;
   Entry entry;
   entry.key = key;
   entry.session_id = session_id;
-  entry.bytes = EstimateMapBytes(*map) +
-                (plan != nullptr ? plan->ApproxBytes() : 0) + sizeof(Entry);
+  entry.bytes = EstimateMapBytes(*map) + sizeof(Entry);
   entry.map = std::move(map);
-  entry.plan = std::move(plan);
   if (entry.bytes > budget_bytes_) return;  // would evict everything else
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -184,55 +190,6 @@ void MapCache::Insert(const MapCacheKey& key, uint64_t session_id,
     PublishGaugesLocked();
   }
   metrics_->counter("core.cache.inserts")->Increment();
-}
-
-std::shared_ptr<const PreprocessPlan> MapCache::LookupPlan(
-    const MapCacheKey& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key.Hash());
-  if (it == index_.end() || !(it->second->key == key)) return nullptr;
-  return it->second->plan;
-}
-
-std::shared_ptr<const std::vector<size_t>> MapCache::LookupPrimaryKeys(
-    const std::string& table_name, uint64_t table_version, uint64_t table_fp,
-    uint64_t columns_fp) {
-  std::shared_ptr<const std::vector<size_t>> found;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const PkEntry& e : pk_entries_) {
-      if (e.table_version == table_version && e.table_fp == table_fp &&
-          e.columns_fp == columns_fp && e.table_name == table_name) {
-        found = e.keys;
-        break;
-      }
-    }
-    if (found != nullptr) {
-      counters_.pk_hits++;
-    } else {
-      counters_.pk_misses++;
-    }
-  }
-  metrics_->counter(found != nullptr ? "core.cache.pk_hits"
-                                     : "core.cache.pk_misses")
-      ->Increment();
-  return found;
-}
-
-void MapCache::InsertPrimaryKeys(
-    const std::string& table_name, uint64_t table_version, uint64_t table_fp,
-    uint64_t columns_fp, std::shared_ptr<const std::vector<size_t>> keys) {
-  if (keys == nullptr) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (PkEntry& e : pk_entries_) {
-    if (e.table_version == table_version && e.table_fp == table_fp &&
-        e.columns_fp == columns_fp && e.table_name == table_name) {
-      e.keys = std::move(keys);
-      return;
-    }
-  }
-  pk_entries_.push_back(
-      {table_name, table_version, table_fp, columns_fp, std::move(keys)});
 }
 
 void MapCache::EvictSession(uint64_t session_id) {
@@ -271,15 +228,6 @@ void MapCache::EvictTable(const std::string& table_name) {
       }
       it = next;
     }
-    for (auto it = pk_entries_.begin(); it != pk_entries_.end();) {
-      if (it->table_name == table_name) {
-        it = pk_entries_.erase(it);
-        counters_.invalidations++;
-        dropped++;
-      } else {
-        ++it;
-      }
-    }
     PublishGaugesLocked();
   }
   span.SetAttr("entries_dropped", dropped);
@@ -295,7 +243,6 @@ void MapCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
   index_.clear();
-  pk_entries_.clear();
   bytes_ = 0;
   PublishGaugesLocked();
 }
@@ -327,7 +274,6 @@ MapCacheStats MapCache::stats() const {
   out.entries = entries_.size();
   out.bytes = bytes_;
   out.budget_bytes = budget_bytes_;
-  out.pk_entries = pk_entries_.size();
   return out;
 }
 
@@ -340,12 +286,9 @@ std::string MapCache::StatsJson() const {
       .KV("inserts", s.inserts)
       .KV("evictions", s.evictions)
       .KV("invalidations", s.invalidations)
-      .KV("pk_hits", s.pk_hits)
-      .KV("pk_misses", s.pk_misses)
       .KV("entries", s.entries)
       .KV("bytes", s.bytes)
-      .KV("budget_bytes", s.budget_bytes)
-      .KV("pk_entries", s.pk_entries);
+      .KV("budget_bytes", s.budget_bytes);
   w.EndObject();
   return w.str();
 }

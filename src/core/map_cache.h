@@ -1,6 +1,6 @@
-// Navigation-aware map cache: reuses preprocessing and whole maps across
-// Zoom / Project / rollback so re-visiting a navigation state is O(1) and a
-// serving layer does not redo identical work per interaction.
+// Navigation-aware map cache: memoizes whole maps across Zoom / Project /
+// rollback so re-visiting a navigation state is O(1) and a serving layer
+// does not redo identical work per interaction.
 //
 // ## Cache key contract
 //
@@ -21,27 +21,18 @@
 //     selection_fp, columns_fp), so rebuilding the same navigation state
 //     cold produces the same seed, sample and map as a cache hit.
 //
-// ## Bit-identical vs. re-normalized reuse
+// ## One tier
 //
-// Three reuse tiers, two correctness classes:
-//   1. Whole-map memoization (Lookup/Insert): hit returns the exact map that
-//      a cold build of the same key would produce — bit-identical by
-//      construction.
-//   2. Primary-key reuse (LookupPrimaryKeys/InsertPrimaryKeys): key
-//      detection reads only the table, never the selection, so reusing it
-//      per (table_version, columns_fp) is bit-identical. On by default.
-//   3. Parent-plan reuse (LookupPlan via the entry of the parent state):
-//      normalizers, category tables and type decisions were fit on the
-//      PARENT's sample; filling a child selection with them yields features
-//      normalized by the parent's statistics. The resulting map is valid
-//      but NOT bit-identical to a cold build, so this tier is opt-in
-//      (SessionOptions::reuse_parent_plans) and off by default.
+// Every entry is a key and the map built for it. A hit returns the exact
+// map that a cold build of the same key would produce — bit-identical by
+// construction. Nothing else (preprocessing plans, detected primary keys)
+// is cached: key detection costs microseconds against a build's tens of
+// milliseconds, and a plan fit on another selection would change the map.
 //
 // ## Observability (ROADMAP naming convention)
 //
 // Counters: core.cache.hits, core.cache.misses, core.cache.inserts,
-// core.cache.evictions, core.cache.invalidations, core.cache.pk_hits,
-// core.cache.pk_misses, core.cache.plan_reuses. Gauges: core.cache.bytes,
+// core.cache.evictions, core.cache.invalidations. Gauges: core.cache.bytes,
 // core.cache.entries. Spans: core.cache.lookup (attr hit=0|1),
 // core.cache.invalidate.
 #pragma once
@@ -62,7 +53,6 @@
 namespace blaeu::core {
 
 struct MapOptions;
-struct PreprocessPlan;
 
 /// Order-sensitive FNV-1a mix step, the hashing primitive behind every
 /// cache fingerprint.
@@ -116,18 +106,15 @@ struct MapCacheStats {
   int64_t inserts = 0;
   int64_t evictions = 0;      ///< entries dropped to respect the budget
   int64_t invalidations = 0;  ///< entries dropped by EvictTable/EvictSession
-  int64_t pk_hits = 0;
-  int64_t pk_misses = 0;
   size_t entries = 0;
   size_t bytes = 0;
   size_t budget_bytes = 0;
-  size_t pk_entries = 0;
 };
 
 /// Rough heap footprint of a map, for budgeting.
 size_t EstimateMapBytes(const DataMap& map);
 
-/// \brief Thread-safe LRU cache of built maps and preprocessing artifacts.
+/// \brief Thread-safe LRU cache of built maps.
 ///
 /// Shared by every session of an Explorer (and injectable into standalone
 /// sessions via SessionOptions::cache); concurrent sessions may hit each
@@ -155,31 +142,16 @@ class MapCache {
   std::shared_ptr<const DataMap> Lookup(const MapCacheKey& key,
                                         uint64_t session_id);
 
-  /// Memoizes `map` (and optionally the preprocessing `plan` that produced
-  /// it) under `key`, evicting least-recently-used entries over budget.
+  /// Memoizes `map` under `key`, evicting least-recently-used entries over
+  /// budget.
   void Insert(const MapCacheKey& key, uint64_t session_id,
-              std::shared_ptr<const DataMap> map,
-              std::shared_ptr<const PreprocessPlan> plan = nullptr);
-
-  /// The preprocessing plan cached with `key`'s entry, or null. Used for
-  /// re-normalized parent-plan reuse (tier 3 above).
-  std::shared_ptr<const PreprocessPlan> LookupPlan(const MapCacheKey& key);
-
-  /// Detected primary keys for (table_version, columns_fp) of `table_name`;
-  /// bit-identical reuse (tier 2 above).
-  std::shared_ptr<const std::vector<size_t>> LookupPrimaryKeys(
-      const std::string& table_name, uint64_t table_version,
-      uint64_t table_fp, uint64_t columns_fp);
-  void InsertPrimaryKeys(const std::string& table_name,
-                         uint64_t table_version, uint64_t table_fp,
-                         uint64_t columns_fp,
-                         std::shared_ptr<const std::vector<size_t>> keys);
+              std::shared_ptr<const DataMap> map);
 
   /// Drops every entry owned by `session_id` (session close/destruction).
   void EvictSession(uint64_t session_id);
 
-  /// Drops every entry (maps and primary keys) for `table_name` — called
-  /// when a table is re-loaded under the same name.
+  /// Drops every entry for `table_name` — called when a table is re-loaded
+  /// under the same name.
   void EvictTable(const std::string& table_name);
 
   /// Drops everything.
@@ -196,14 +168,6 @@ class MapCache {
     uint64_t session_id = 0;
     size_t bytes = 0;
     std::shared_ptr<const DataMap> map;
-    std::shared_ptr<const PreprocessPlan> plan;
-  };
-  struct PkEntry {
-    std::string table_name;
-    uint64_t table_version = 0;
-    uint64_t table_fp = 0;
-    uint64_t columns_fp = 0;
-    std::shared_ptr<const std::vector<size_t>> keys;
   };
 
   /// Drops LRU entries until bytes_ <= budget_bytes_ (lock held).
@@ -219,7 +183,6 @@ class MapCache {
   mutable std::mutex mu_;
   std::list<Entry> entries_;  ///< most-recently-used first
   std::unordered_map<uint64_t, std::list<Entry>::iterator> index_;
-  std::vector<PkEntry> pk_entries_;
   size_t bytes_ = 0;
   MapCacheStats counters_;  ///< hit/miss/... tallies (sizes derived live)
 };

@@ -88,8 +88,7 @@ Result<Session> Session::Start(TablePtr table, std::string table_name,
 }
 
 Result<DataMap> Session::MakeMap(const SelectionVector& sel,
-                                 const std::vector<std::string>& columns,
-                                 MapCacheKey* out_key) {
+                                 const std::vector<std::string>& columns) {
   Timer build_timer;
   MapOptions map_options = options_.map;
   const uint64_t sel_fp = sel.Fingerprint();
@@ -108,7 +107,6 @@ Result<DataMap> Session::MakeMap(const SelectionVector& sel,
   key.columns_fp = cols_fp;
   key.options_fp = options_fp_;
   key.seed = map_options.seed;
-  if (out_key != nullptr) *out_key = key;
 
   auto finish = [&](size_t* build_counter) {
     (*build_counter)++;
@@ -133,34 +131,6 @@ Result<DataMap> Session::MakeMap(const SelectionVector& sel,
     stats_.cache_misses++;
   }
 
-  // Tier-2 reuse (bit-identical): primary-key detection depends only on
-  // (table, columns), so any prior build of this theme already knows it.
-  std::shared_ptr<const std::vector<size_t>> known_keys;
-  if (cache_ != nullptr && map_options.preprocess.remove_primary_keys) {
-    known_keys = cache_->LookupPrimaryKeys(
-        table_name_, options_.table_version, table_fp_, cols_fp);
-    if (known_keys != nullptr) {
-      map_options.preprocess.known_primary_keys = known_keys.get();
-    }
-  }
-  // Tier-3 reuse (re-normalized, opt-in): fill the child's features with
-  // the parent state's plan instead of re-planning on the child sample.
-  if (options_.reuse_parent_plans && cache_ != nullptr && !history_.empty() &&
-      FingerprintStrings(history_.back().columns) == cols_fp) {
-    std::shared_ptr<const PreprocessPlan> parent_plan =
-        cache_->LookupPlan(history_.back().cache_key);
-    if (parent_plan != nullptr) {
-      map_options.preprocess.reuse_plan = std::move(parent_plan);
-      stats_.plan_reuses++;
-      obs::MetricsRegistry* metrics = map_options.metrics != nullptr
-                                          ? map_options.metrics
-                                          : &obs::MetricsRegistry::Global();
-      metrics->counter("core.cache.plan_reuses")->Increment();
-    }
-  }
-  std::shared_ptr<const PreprocessPlan> used_plan;
-  map_options.preprocess.plan_out = &used_plan;
-
   // Multi-scale sampling: pre-shrink very large selections through the
   // shared permutation, then let BuildMap take its per-map sample.
   SelectionVector working = sel;
@@ -171,31 +141,26 @@ Result<DataMap> Session::MakeMap(const SelectionVector& sel,
   BLAEU_ASSIGN_OR_RETURN(DataMap map,
                          BuildMap(*table_, working, columns, map_options));
   if (cache_ != nullptr) map.resources.cache_misses = 1;
-  // Counts must reflect the full selection, not the working sample: rescale
-  // by evaluating predicates on the true selection when we pre-shrank.
+  // Counts must reflect the full selection, not the working sample: recount
+  // on the true selection when we pre-shrank.
   if (working.size() != sel.size()) {
     BLAEU_ASSIGN_OR_RETURN(TablePtr view, table_->ProjectNames(columns));
-    for (MapRegion& region : map.regions) {
-      if (region.parent < 0) {
-        region.tuple_count = sel.size();
-        continue;
-      }
-      BLAEU_ASSIGN_OR_RETURN(SelectionVector rows,
-                             region.predicate.EvaluateOn(*view, sel));
-      region.tuple_count = rows.size();
-    }
+    obs::ScratchCounter scratch;
+    BLAEU_ASSIGN_OR_RETURN(
+        int64_t rows_counted,
+        CountRegions(*view, sel, map_options.num_threads, &map, &scratch));
+    map.resources.rows_counted += rows_counted;
+    map.resources.peak_scratch_bytes =
+        std::max(map.resources.peak_scratch_bytes, scratch.peak());
+    obs::MetricsRegistry* metrics = map_options.metrics != nullptr
+                                        ? map_options.metrics
+                                        : &obs::MetricsRegistry::Global();
+    metrics->counter("core.map.rows_counted")->Add(rows_counted);
     map.total_tuples = sel.size();
   }
 
   if (cache_ != nullptr) {
-    if (known_keys == nullptr && used_plan != nullptr &&
-        map_options.preprocess.remove_primary_keys) {
-      cache_->InsertPrimaryKeys(
-          table_name_, options_.table_version, table_fp_, cols_fp,
-          std::make_shared<const std::vector<size_t>>(used_plan->dropped_keys));
-    }
-    cache_->Insert(key, session_id_, std::make_shared<const DataMap>(map),
-                   std::move(used_plan));
+    cache_->Insert(key, session_id_, std::make_shared<const DataMap>(map));
   }
   finish(&stats_.maps_built);
   return map;
@@ -213,15 +178,13 @@ Status Session::SelectTheme(size_t theme_idx) {
                             : history_.back().selection;
   monet::Conjunction where =
       history_.empty() ? monet::Conjunction() : history_.back().where;
-  MapCacheKey key;
-  BLAEU_ASSIGN_OR_RETURN(DataMap map, MakeMap(sel, theme.names, &key));
+  BLAEU_ASSIGN_OR_RETURN(DataMap map, MakeMap(sel, theme.names));
   NavState state;
   state.selection = std::move(sel);
   state.theme_id = static_cast<int>(theme_idx);
   state.columns = theme.names;
   state.where = std::move(where);
   state.map = std::move(map);
-  state.cache_key = std::move(key);
   state.action = "select_theme(" + std::to_string(theme_idx) + ")";
   ResolveFlight(options_)->Record(
       obs::FlightEventKind::kNavigation, "core.session.select_theme",
@@ -247,15 +210,13 @@ Status Session::Zoom(int region_id) {
     return Status::Invalid("region " + std::to_string(region_id) +
                            " covers no tuples");
   }
-  MapCacheKey key;
-  BLAEU_ASSIGN_OR_RETURN(DataMap map, MakeMap(sub, cur.columns, &key));
+  BLAEU_ASSIGN_OR_RETURN(DataMap map, MakeMap(sub, cur.columns));
   NavState state;
   state.selection = std::move(sub);
   state.theme_id = cur.theme_id;
   state.columns = cur.columns;
   state.where = cur.where.And(region.predicate);
   state.map = std::move(map);
-  state.cache_key = std::move(key);
   state.action = "zoom(" + std::to_string(region_id) + ")";
   ResolveFlight(options_)->Record(
       obs::FlightEventKind::kNavigation, "core.session.zoom",
@@ -274,16 +235,13 @@ Status Session::Project(size_t theme_idx) {
   }
   const NavState& cur = current();
   const Theme& theme = themes_.theme(theme_idx);
-  MapCacheKey key;
-  BLAEU_ASSIGN_OR_RETURN(DataMap map,
-                         MakeMap(cur.selection, theme.names, &key));
+  BLAEU_ASSIGN_OR_RETURN(DataMap map, MakeMap(cur.selection, theme.names));
   NavState state;
   state.selection = cur.selection;
   state.theme_id = static_cast<int>(theme_idx);
   state.columns = theme.names;
   state.where = cur.where;
   state.map = std::move(map);
-  state.cache_key = std::move(key);
   state.action = "project(" + std::to_string(theme_idx) + ")";
   ResolveFlight(options_)->Record(
       obs::FlightEventKind::kNavigation, "core.session.project",

@@ -6,7 +6,6 @@
 // in the database."
 #pragma once
 
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -18,8 +17,6 @@
 #include "stats/normalize.h"
 
 namespace blaeu::core {
-
-struct PreprocessPlan;
 
 /// How categorical columns enter the feature space.
 enum class CategoricalEncoding {
@@ -50,27 +47,6 @@ struct PreprocessOptions {
   /// assert exactly that. Not part of the map-options fingerprint
   /// (core/map_cache.cc FingerprintMapOptions): it cannot change any output.
   bool use_dictionary = true;
-
-  // -- Reuse hooks (see core/map_cache.h for the correctness contract) --
-
-  /// Bit-identical reuse: when non-null, planning trusts this list of
-  /// primary-key column indices instead of re-running detection. Detection
-  /// depends only on the table (never the selection), so a caller that
-  /// computed it once for the same (table, columns) pair cannot change the
-  /// output by passing it back in. Not owned; must outlive the call.
-  const std::vector<size_t>* known_primary_keys = nullptr;
-
-  /// Re-normalized reuse: when set, Preprocess() skips planning entirely
-  /// and fills features with this plan. The plan's normalizers, category
-  /// tables and type decisions were fit on the selection it was planned on,
-  /// so the output is bit-identical to a cold run ONLY when that selection
-  /// (and table) is the same; for a child selection (zoom) the features
-  /// come out normalized by the parent's statistics instead.
-  std::shared_ptr<const PreprocessPlan> reuse_plan;
-
-  /// When non-null, receives the plan the run used (freshly planned or
-  /// `reuse_plan`), so callers can cache it for future reuse.
-  std::shared_ptr<const PreprocessPlan>* plan_out = nullptr;
 };
 
 /// \brief Description of one feature of the preprocessed matrix.
@@ -107,8 +83,8 @@ struct ColumnPlan {
   /// code-indexed path only when the column at fill time shares this exact
   /// dictionary (pointer identity) — otherwise codes would not be
   /// comparable and it falls back to the string path. Derived tables
-  /// (Take/Project) share their source's dictionaries, so reuse across
-  /// Zoom/Project keeps the fast path.
+  /// (Take/Project) share their source's dictionaries, so a plan fit on one
+  /// fills the other on the fast path.
   monet::DictionaryPtr dict;
   /// Dictionary code -> rank in `categories` (-1 = not a kept category).
   /// Codes appended to the dictionary after planning index past the end and
@@ -116,7 +92,7 @@ struct ColumnPlan {
   std::vector<int32_t> dict_ranks;
 };
 
-/// \brief The reusable product of the planning phase: everything Preprocess
+/// \brief The product of the planning phase: everything Preprocess
 /// derives from (table, selection, options) before touching the feature
 /// matrix. Filling a matrix from a plan is a pure function of the plan and
 /// the rows being filled.
@@ -128,8 +104,6 @@ struct PreprocessPlan {
   CategoricalEncoding encoding = CategoricalEncoding::kDummy;
 
   size_t num_features() const { return feature_info.size(); }
-  /// Rough heap footprint, for cache budgeting.
-  size_t ApproxBytes() const;
 };
 
 /// Phase 1: fits per-column plans (type decision, category ranking,
@@ -146,7 +120,7 @@ Result<PreprocessedData> FillFeatures(const monet::Table& table,
                                       size_t num_threads = 0);
 
 /// Runs the preprocessing pipeline over the rows in `sel` (= PlanPreprocess
-/// followed by FillFeatures, honouring the reuse hooks in `options`).
+/// followed by FillFeatures).
 ///
 /// Missing values: with kDummy encoding, numeric NaNs are imputed at the
 /// (normalized) mean and missing categoricals get all-zero dummies; with

@@ -1,11 +1,12 @@
 // Unit tests for the navigation-aware map cache (core/map_cache.h): LRU
 // byte budget, table-reload invalidation, session-lifecycle release, env
-// override, and the parent-plan reuse opt-in.
+// override and the stats report.
 #include "core/map_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 
 #include "core/explorer.h"
 #include "core/navigation.h"
@@ -58,8 +59,17 @@ TEST(MapCacheTest, BudgetFromEnvOverrides) {
   EXPECT_EQ(MapCache::BudgetFromEnv(999), 999u);
   setenv("BLAEU_CACHE_BYTES", "12345", 1);
   EXPECT_EQ(MapCache::BudgetFromEnv(999), 12345u);
-  setenv("BLAEU_CACHE_BYTES", "not-a-number", 1);
-  EXPECT_EQ(MapCache::BudgetFromEnv(999), 999u);
+  setenv("BLAEU_CACHE_BYTES", "0", 1);  // a zero budget disables caching
+  EXPECT_EQ(MapCache::BudgetFromEnv(999), 0u);
+  // Anything but an all-digit value that fits in size_t keeps the configured
+  // budget: no partial parse ("12abc" -> 12), no wrap ("-1" -> SIZE_MAX).
+  for (const char* bad : {"not-a-number", "12abc", "-1", "+12", " 12", "12 ",
+                          "1e6", "18446744073709551616"}) {
+    setenv("BLAEU_CACHE_BYTES", bad, 1);
+    EXPECT_EQ(MapCache::BudgetFromEnv(999), 999u) << bad;
+  }
+  setenv("BLAEU_CACHE_BYTES", "18446744073709551615", 1);  // SIZE_MAX fits
+  EXPECT_EQ(MapCache::BudgetFromEnv(999), std::numeric_limits<size_t>::max());
   unsetenv("BLAEU_CACHE_BYTES");
 }
 
@@ -175,7 +185,6 @@ TEST(MapCacheTest, ReloadingTableInvalidatesItsEntries) {
   ASSERT_TRUE(explorer.LoadTable(MixtureTable(600, /*seed=*/7), "mixture").ok());
   MapCacheStats s = explorer.cache()->stats();
   EXPECT_EQ(s.entries, 0u);
-  EXPECT_EQ(s.pk_entries, 0u);
   EXPECT_GT(s.invalidations, 0);
   // The old session pointer is stale by contract; a fresh session works.
   auto reopened = explorer.OpenSession("mixture");
@@ -187,7 +196,6 @@ TEST(MapCacheTest, OpenCloseCyclesDoNotLeakCacheEntries) {
   Explorer explorer(FastOptions());
   ASSERT_TRUE(explorer.LoadTable(MixtureTable(), "mixture").ok());
   ASSERT_NE(explorer.cache(), nullptr);
-  size_t pk_entries_after_first = 0;
   for (int cycle = 0; cycle < 4; ++cycle) {
     auto session = explorer.OpenSession("mixture");
     ASSERT_TRUE(session.ok());
@@ -202,13 +210,6 @@ TEST(MapCacheTest, OpenCloseCyclesDoNotLeakCacheEntries) {
     MapCacheStats stats = explorer.cache()->stats();
     EXPECT_EQ(stats.entries, 0u) << "cycle " << cycle;
     EXPECT_EQ(stats.bytes, 0u) << "cycle " << cycle;
-    // Primary-key entries persist by design (they are per-table, tiny, and
-    // replaced in place) — but they must not multiply across cycles.
-    if (cycle == 0) {
-      pk_entries_after_first = stats.pk_entries;
-    } else {
-      EXPECT_EQ(stats.pk_entries, pk_entries_after_first) << "cycle " << cycle;
-    }
   }
 }
 
@@ -235,36 +236,12 @@ TEST(MapCacheTest, MovedFromSessionReleasesNothing) {
   EXPECT_EQ(cache->stats().entries, 0u);  // outer's death was a no-op
 }
 
-TEST(MapCacheTest, ParentPlanReuseIsOptInAndCounted) {
-  auto table = MixtureTable(1200);
-  SessionOptions opt = FastOptions();
-  opt.reuse_parent_plans = true;
-  auto session = Session::Start(table, "mixture", opt);
-  ASSERT_TRUE(session.ok());
-  Session s = std::move(session).ValueOrDie();
-  std::vector<int> leaves = s.current().map.LeafIds();
-  ASSERT_FALSE(leaves.empty());
-  // Zoom keeps the parent's columns, so the parent's plan applies.
-  ASSERT_TRUE(s.Zoom(leaves[0]).ok());
-  EXPECT_GE(s.stats().plan_reuses, 1u);
-  EXPECT_FALSE(s.current().map.regions.empty());
-
-  // Default options never reuse a parent plan.
-  auto cold = Session::Start(table, "mixture", FastOptions());
-  ASSERT_TRUE(cold.ok());
-  Session c = std::move(cold).ValueOrDie();
-  std::vector<int> cold_leaves = c.current().map.LeafIds();
-  ASSERT_FALSE(cold_leaves.empty());
-  ASSERT_TRUE(c.Zoom(cold_leaves[0]).ok());
-  EXPECT_EQ(c.stats().plan_reuses, 0u);
-}
-
 TEST(MapCacheTest, StatsJsonListsAllFields) {
   MapCache cache;
   std::string json = cache.StatsJson();
   for (const char* field :
-       {"hits", "misses", "inserts", "evictions", "invalidations", "pk_hits",
-        "pk_misses", "entries", "bytes", "budget_bytes", "pk_entries"}) {
+       {"hits", "misses", "inserts", "evictions", "invalidations", "entries",
+        "bytes", "budget_bytes"}) {
     EXPECT_NE(json.find(field), std::string::npos) << field;
   }
 }

@@ -195,6 +195,47 @@ TEST(SessionTest, ZoomChainsAccumulateWhere) {
   }
 }
 
+// A selection over 4 x sample_size rows is pre-shrunk before mapping, and
+// the session then recounts the regions over the whole selection.
+TEST(SessionTest, PreShrunkMapsCountTheFullSelection) {
+  Session s = StartMixtureSession(8000);
+  auto check_counts = [&s](const char* where) {
+    SCOPED_TRACE(where);
+    const NavState& cur = s.current();
+    ASSERT_GT(cur.selection.size(), 4 * FastOptions().map.sample_size);
+    ASSERT_GT(cur.map.regions.size(), 1u);
+    EXPECT_EQ(cur.map.total_tuples, cur.selection.size());
+    auto view = s.table().ProjectNames(cur.columns);
+    ASSERT_TRUE(view.ok());
+    int64_t recounted = 0;
+    for (const MapRegion& region : cur.map.regions) {
+      auto rows = region.predicate.EvaluateOn(**view, cur.selection);
+      ASSERT_TRUE(rows.ok());
+      EXPECT_EQ(region.tuple_count, rows->size()) << "region " << region.id;
+      if (region.parent >= 0) {
+        recounted += static_cast<int64_t>(
+            cur.map.region(region.parent).tuple_count);
+      }
+    }
+    // The recount evaluates each region's edge over its parent's rows of
+    // the full selection, on top of what the build counted on its sample.
+    EXPECT_GT(cur.map.resources.rows_counted, recounted);
+  };
+  check_counts("root");
+  // Zoom into the largest leaf that is still pre-shrunk.
+  int target = -1;
+  for (int leaf : s.current().map.LeafIds()) {
+    const size_t count = s.current().map.region(leaf).tuple_count;
+    if (count > 4 * FastOptions().map.sample_size &&
+        (target < 0 || count > s.current().map.region(target).tuple_count)) {
+      target = leaf;
+    }
+  }
+  ASSERT_GE(target, 0);
+  ASSERT_TRUE(s.Zoom(target).ok());
+  check_counts("zoom");
+}
+
 TEST(SessionTest, HollywoodSessionEndToEnd) {
   auto data = workloads::MakeHollywood();
   auto session = Session::Start(data.table, "hollywood", FastOptions());
